@@ -18,8 +18,8 @@ makes nondeterminism more expensive:
   ``SimulationResult.wall_seconds`` and the phase profiler.
 * ``DET003`` — iteration (or list/tuple materialisation) of a ``set`` /
   ``frozenset`` whose hash order would feed a simulation decision,
-  unless wrapped in ``sorted()`` — the scan→active scheduler's ordering
-  hazard.
+  unless wrapped in ``sorted()``: the engine's event-driven phases must
+  keep a fixed service order, and hash order would break it.
 * ``DET004`` — ``id()``-based ordering or tie-breaking: CPython object
   addresses vary run to run, so any decision keyed on them is
   irreproducible.

@@ -4,7 +4,7 @@ Measures every paper algorithm on an 8x8 torus (16-flit worms, seed 42)
 at several operating points:
 
 * **congested** (offered load 0.6, ideal flow control): the saturated
-  regime the activity-tracked scheduler targets — most virtual channels
+  regime the engine's activity tracking targets — most virtual channels
   blocked, routing queues deep.
 * **idle** (offered load 0.02): dominated by the idle-cycle
   fast-forward path; doubles as a machine-speed calibration point for

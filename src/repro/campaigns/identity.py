@@ -49,10 +49,10 @@ POINT_FIELDS = ("algorithm", "offered_load", "seed")
 #: ``identity="relaxed"`` is only constructible with
 #: ``backend="batch"`` (config validation), so a backendless identity
 #: never conflates the two contracts.  Since the signature hashes every
-#: non-excluded field of the config dataclass, stores written before
-#: the ``identity`` field existed hash differently and show up as cache
-#: misses — re-simulate (or keep serving them from an old checkout);
-#: they are never served wrongly.
+#: non-excluded field of the config dataclass, stores written before a
+#: field was added (``identity``) or removed hash differently and show
+#: up as cache misses — re-simulate (or keep serving them from an old
+#: checkout); they are never served wrongly.
 SIGNATURE_EXCLUDED = POINT_FIELDS + ("backend",)
 
 

@@ -170,6 +170,13 @@ class CampaignSpec:
             )
         for topology in self.topologies:
             parse_topology(topology)
+        config_fields = {f.name for f in dataclasses.fields(SimulationConfig)}
+        unknown = set(self.base) - config_fields
+        if unknown:
+            raise ConfigurationError(
+                f"campaign {self.name!r}: base overrides {sorted(unknown)} "
+                "are not SimulationConfig fields"
+            )
         point_fields = {"algorithm", "offered_load", "seed", "traffic",
                         "traffic_options", "topology", "radix", "n_dims"}
         overlap = point_fields & set(self.base)

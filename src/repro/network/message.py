@@ -77,11 +77,11 @@ class Message:
         # Route candidates are invariant while the head is blocked at one
         # node, so they are computed once per node and cached here.
         self.cached_candidates: Optional[List[Tuple[Any, int]]] = None
-        # Activity-tracked scheduler bookkeeping: the FIFO sequence number
-        # of the message's current routing request (assigned per enqueue,
-        # kept while the request is blocked so service order matches the
-        # scanning scheduler's queue discipline), and the parked flag plus
-        # its epoch counter, which invalidates stale waiter-list entries.
+        # Routing-queue bookkeeping: the FIFO sequence number of the
+        # message's current routing request (assigned per enqueue, kept
+        # while the request is blocked so it keeps its place in the
+        # queue), and the parked flag plus its epoch counter, which
+        # invalidates stale waiter-list entries.
         self.route_seq = -1
         self.parked = False
         self.park_epoch = 0

@@ -7,22 +7,23 @@ flit, chosen round-robin among the virtual channels that are *ready*:
 reserved, with a settled flit available upstream (present since the start
 of the cycle) and a buffer slot that was free at the start of the cycle.
 
-``transmit`` is the single hottest function of the whole simulator (it
-runs once per active link per fixpoint pass per cycle), so its scan only
-visits the *reserved* virtual channels: ``owned_idx`` is a sorted index
-list maintained by :meth:`VirtualChannel.reserve`/``release``, and the
-round-robin start position is located in it with one bisect.  For the
+``transmit`` is the per-channel model of one cycle's multiplexing; the
+engine's transmission phase runs a fused copy of it once per armed link
+per pass.  It only visits the *reserved* virtual channels: ``owned_idx``
+is a sorted index list maintained by
+:meth:`VirtualChannel.reserve`/``release``, and the round-robin start
+position is located in it with one bisect.  For the
 hop schemes (16+ virtual channels of which a handful are reserved at any
 time) this removes almost the entire scan; the semantics are bit-identical
 to scanning every index and skipping the free ones (the test suite pins
 the engine's flit schedule against golden traces).
 
-The channel also carries the activity-tracked scheduler's bookkeeping:
+The channel also carries the engine's activity-tracking bookkeeping:
 ``armed_cycle`` stamps the latest cycle at which this channel may possibly
 move a flit (maintained by the engine's event hooks: allocation, ejection,
 arrivals, departures), and ``active_seq`` is the channel's position in the
-engine's insertion-ordered active set, which the event-driven transmit
-phase uses to reproduce the full scan's polling order exactly.
+engine's insertion-ordered active set, which fixes the order in which the
+transmit phase polls channels.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ class PhysicalChannel:
         "owned_count",
         "flits_moved",
         "last_transmit_cycle",
-        "retry_hint",
         "armed_cycle",
         "active_seq",
         "queue_cycle",
@@ -71,15 +71,8 @@ class PhysicalChannel:
         self.flits_moved = 0
         #: Enforces the one-flit-per-cycle bandwidth across retry passes.
         self.last_transmit_cycle = -1
-        #: Set by a failed transmit: True when some virtual channel was
-        #: blocked *only* on buffer space (or SAF packet assembly) — the
-        #: two conditions that can still change later in the same cycle.
-        #: The engine's ideal-flow-control fixpoint re-polls only channels
-        #: with this hint; all other failures are final for the cycle
-        #: because settled-flit counts never increase mid-cycle.
-        self.retry_hint = False
         #: Latest cycle at which this channel might move a flit.  The
-        #: activity-tracked scheduler polls a channel at cycle c only when
+        #: engine's transmit phase polls a channel at cycle c only when
         #: ``armed_cycle >= c``; the engine's event hooks bump the stamp
         #: whenever one of the channel's blocking conditions changes.
         self.armed_cycle = -1
@@ -87,7 +80,7 @@ class PhysicalChannel:
         #: when the channel gains its first reserved virtual channel).
         self.active_seq = -1
         #: Last cycle this channel was queued for a transmit poll.  The
-        #: activity-tracked scheduler stamps it when the channel enters a
+        #: engine's transmit phase stamps it when the channel enters a
         #: poll list, so a mid-cycle event never queues a channel that is
         #: already scheduled (or already polled) this cycle.
         self.queue_cycle = -1
@@ -96,9 +89,8 @@ class PhysicalChannel:
         return self.vcs[vc_class]
 
     def __lt__(self, other: "PhysicalChannel") -> bool:
-        # Heap ordering for the activity-tracked transmit phase: channels
-        # are polled in ascending active-set insertion order, matching
-        # the full scan's iteration order over the active set.
+        # Heap ordering for the engine's transmit phase: channels are
+        # polled in ascending active-set insertion order.
         return self.active_seq < other.active_seq
 
     def transmit(
@@ -143,7 +135,6 @@ class PhysicalChannel:
                 order = owned
             else:
                 order = owned[start:] + owned[:start]
-        retry_hint = False
         for idx in order:
             vc = vcs[idx]
             owner = vc.owner
@@ -155,7 +146,6 @@ class PhysicalChannel:
             occupancy = vc.occupancy
             if ideal:
                 if occupancy >= vc.capacity:
-                    retry_hint = True  # space may free later this cycle
                     continue
             elif not vc.had_space(cycle):
                 continue
@@ -176,7 +166,6 @@ class PhysicalChannel:
                     store_and_forward
                     and upstream.flits_in < owner.length
                 ):
-                    retry_hint = True  # packet may finish assembling
                     continue
                 upstream.occupancy -= 1
                 upstream.flits_out += 1
@@ -192,7 +181,6 @@ class PhysicalChannel:
                 next_idx = idx + 1
                 self._rr_next = 0 if next_idx == self.num_vcs else next_idx
             return vc
-        self.retry_hint = retry_hint
         return None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

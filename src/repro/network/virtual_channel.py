@@ -65,7 +65,7 @@ class VirtualChannel:
         self.upstream: Optional["VirtualChannel"] = None
         #: Where the owner's flits go next: the owner's *following* virtual
         #: channel, or None while this one is the worm's front.  Maintained
-        #: by reserve/release; the activity-tracked scheduler follows it to
+        #: by reserve/release; the engine's transmit phase follows it to
         #: re-arm the consumer of a buffer that just gained a flit.
         self.downstream: Optional["VirtualChannel"] = None
         self.last_arrival_cycle = -1
@@ -75,8 +75,8 @@ class VirtualChannel:
         #: Owning physical channel (set by PhysicalChannel.__init__), so
         #: reservation bookkeeping stays correct no matter who reserves.
         self.channel: Optional["PhysicalChannel"] = None
-        #: Routing requests parked on this channel by the activity-tracked
-        #: scheduler: (park_epoch, message) pairs re-queued on release.
+        #: Routing requests parked on this channel by the engine's routing
+        #: phase: (park_epoch, message) pairs re-queued on release.
         #: None whenever nothing waits (the common case).
         self.waiters: Optional[List[Tuple[int, "Message"]]] = None
 

@@ -60,10 +60,10 @@ def _builtin_probes() -> List[Probe]:
     return [
         Probe("in_flight_messages", lambda e: e.in_flight),
         Probe("network_flits", lambda e: e.fabric.occupied_flits()),
-        # _route_pending aliases the scheduler's pending-routing container
-        # (FIFO deque or the active scheduler's heap), so the depth probe
-        # reports the same quantity under either scheduler.
-        Probe("route_queue_depth", lambda e: len(e._route_pending)),
+        # Pending routing requests.  Parked requests are not counted, but
+        # an attached observer turns parking off, so none exist while
+        # probes are sampled.
+        Probe("route_queue_depth", lambda e: len(e._route_heap)),
         Probe(
             "injection_backlog",
             lambda e: e.controller.total_outstanding(),

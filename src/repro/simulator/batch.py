@@ -994,7 +994,7 @@ class BatchEngine:
         heappush(lane.route_heap, (seq, message))
 
     def _route_lane(self, lane: _Lane, b: int, policy: str) -> bool:
-        """Port of Engine._route_active with parking always on.
+        """Port of Engine._route with parking always on.
 
         Parking is invisible to the flit schedule (a blocked request
         consumes no rng), and the batch backend never attaches the
@@ -1935,9 +1935,10 @@ class BatchEngine:
     ) -> None:
         """Apply the scalar move consequences in object-engine order.
 
-        Per move the order matches Engine._handle_flit_arrival: the
-        head-arrival action (route request or delivery registration)
-        first, then injection-complete, then the upstream release.
+        Per move the order matches the arrival epilogue of
+        Engine._transmit: the head-arrival action (route request or
+        delivery registration) first, then injection-complete, then the
+        upstream release.
         """
         lanes = self.lanes
         e_b = ev_b.tolist()

@@ -36,13 +36,6 @@ FLOW_CONTROL_MODES = ("ideal", "conservative")
 #: Physical-channel multiplexer policies.
 MUX_POLICIES = ("round_robin", "highest_class")
 
-#: Engine cycle schedulers: "scan" re-examines every queued message and
-#: active channel each cycle (the seed engine's strategy); "active" is the
-#: event-driven scheduler that re-examines a blocked resource only when a
-#: condition it waits on changes.  Bit-identical flit schedules either way
-#: (pinned by the golden-trace tests).
-SCHEDULERS = ("scan", "active")
-
 #: Simulation backends: "object" is the per-object Python engine
 #: (:class:`repro.simulator.engine.Engine`); "batch" is the vectorized
 #: flat-array engine (:class:`repro.simulator.batch.BatchEngine`) that
@@ -99,16 +92,10 @@ class SimulationConfig:
     #: model); "highest_class" is a strict priority scan from the top
     #: class down, giving the most-progressed worms bandwidth first.
     mux_policy: str = "round_robin"
-    #: Engine cycle scheduler: "active" (default) re-examines only the
-    #: virtual channels, muxes and routing requests whose blocking
-    #: conditions may have changed (several times faster in the congested
-    #: regime); "scan" is the seed engine's full per-cycle rescan.  The
-    #: flit schedule is bit-identical either way (golden-trace tests).
-    scheduler: str = "active"
     #: Simulation backend: "object" runs one seed per engine; "batch"
     #: runs whole seed-batches in lockstep over flat numpy arrays
     #: (bit-identical per seed; requires conservative flow control and
-    #: wormhole/VCT switching, and ignores `scheduler`).
+    #: wormhole/VCT switching).
     backend: str = "object"
     #: Batch-backend identity mode (see :data:`IDENTITY_MODES`).
     #: "strict" (default) keeps the bit-identical path; "relaxed" trades
@@ -175,9 +162,6 @@ class SimulationConfig:
         require(self.mux_policy in MUX_POLICIES,
                 f"mux_policy must be one of {MUX_POLICIES}, "
                 f"got {self.mux_policy!r}")
-        require(self.scheduler in SCHEDULERS,
-                f"scheduler must be one of {SCHEDULERS}, "
-                f"got {self.scheduler!r}")
         require(self.backend in BACKENDS,
                 f"backend must be one of {BACKENDS}, "
                 f"got {self.backend!r}")
@@ -255,7 +239,6 @@ class SimulationConfig:
 __all__ = [
     "BACKENDS",
     "IDENTITY_MODES",
-    "SCHEDULERS",
     "SELECTION_POLICIES",
     "SWITCHING_MODES",
     "SimulationConfig",

@@ -140,7 +140,6 @@ class Engine:
         self._saf = config.switching == "saf"
         self._ideal = config.flow_control == "ideal"
         self._highest_class_first = config.mux_policy == "highest_class"
-        self._route_queue: Deque[Message] = deque()
         # Opt-in wait-for-graph sanitizer (config.sanitize): tracks what
         # every blocked message holds and requests so a watchdog trip can
         # name the deadlock cycle.
@@ -148,46 +147,32 @@ class Engine:
             WaitForGraph() if config.sanitize else None
         )
         # Insertion-ordered set of channels with >= 1 reserved VC, so the
-        # transmission scan touches only potentially active links and the
-        # iteration order is deterministic.
+        # transmission phase touches only potentially active links and
+        # the iteration order is deterministic.
         self._active_channels: Dict[PhysicalChannel, None] = {}
         self._delivering: List[VirtualChannel] = []
         self._last_progress = 0
-        # Scheduler selection (config.scheduler).  "scan" keeps the seed
-        # code paths exactly: _route drains a FIFO deque and _transmit
-        # polls every active channel each cycle.  "active" (the default)
-        # is the activity-tracked scheduler: routing requests live in a
-        # min-heap ordered by enqueue sequence (same service order as the
-        # FIFO), blocked messages park on their candidate VCs' waiter
-        # lists until a release wakes them, and transmission polls only
-        # channels *armed* by an event that could have made them ready
-        # (allocation, a flit arrival/departure on an adjacent VC, an
-        # ejection).  Both produce bit-identical flit schedules; the
-        # golden-trace and fuzz tests pin that equivalence.
-        self._active_scheduler = config.scheduler == "active"
+        # Activity tracking: routing requests live in a min-heap ordered
+        # by enqueue sequence (FIFO service order), blocked messages park
+        # on their candidate VCs' waiter lists until a release wakes them,
+        # and transmission polls only channels *armed* by an event that
+        # could have made them ready (allocation, a flit arrival/departure
+        # on an adjacent VC, an ejection).  The golden-trace and recorded
+        # fingerprint tests pin the resulting flit schedule.
         self._route_heap: List[Tuple[int, Message]] = []
         self._route_seq = 0
         self._parked: Dict[int, Message] = {}
         self._next_active_seq = 0
         # Engine-level memo of resolved candidate sets, keyed by
-        # (head node, destination, algorithm state key); only consulted
-        # by the active scheduler so "scan" stays the seed path.
+        # (head node, destination, algorithm state key).
         self._resolved_cache: Dict[
             Tuple[int, int, Hashable], Tuple[_Candidate, ...]
         ] = {}
-        if self._active_scheduler:
-            self._route_pending = self._route_heap
-            self._route_step = self._route_active
-            self._transmit_step = self._transmit_active
-        else:
-            self._route_pending = self._route_queue
-            self._route_step = self._route
-            self._transmit_step = self._transmit
         # Parking requires that nobody needs to see a blocked message
         # every cycle: the sanitizer and the observer both register
         # per-cycle blocked events, so parking turns off while either is
         # attached (attach_observer/detach_observer keep this current).
-        self._parking = self._active_scheduler and self.sanitizer is None
+        self._parking = self.sanitizer is None
         # Hot-path caches: the channel array (so _release and
         # _compute_candidates skip two attribute hops) and the named rng
         # streams (so per-cycle phases skip the stream-dictionary lookup;
@@ -242,10 +227,10 @@ class Engine:
             # buffers before this cycle's link transfers, so the final hop
             # streams at full rate just like every other hop.
             progressed |= self._eject()
-        if self._route_pending:
-            progressed |= self._route_step()
+        if self._route_heap:
+            progressed |= self._route()
         if self._active_channels:
-            progressed |= self._transmit_step()
+            progressed |= self._transmit()
         if progressed:
             self._last_progress = self.cycle
         elif (
@@ -274,22 +259,22 @@ class Engine:
                 t0 = perf_counter()
                 progressed |= self._eject()
                 profiler.add("ejection", perf_counter() - t0)
-            if self._route_pending:
+            if self._route_heap:
                 t0 = perf_counter()
-                progressed |= self._route_step()
+                progressed |= self._route()
                 profiler.add("routing", perf_counter() - t0)
             if self._active_channels:
                 t0 = perf_counter()
-                progressed |= self._transmit_step()
+                progressed |= self._transmit()
                 profiler.add("transmission", perf_counter() - t0)
         else:
             self._generate_arrivals()
             if self._delivering:
                 progressed |= self._eject()
-            if self._route_pending:
-                progressed |= self._route_step()
+            if self._route_heap:
+                progressed |= self._route()
             if self._active_channels:
-                progressed |= self._transmit_step()
+                progressed |= self._transmit()
         if progressed:
             self._last_progress = self.cycle
         elif (
@@ -349,10 +334,7 @@ class Engine:
     def attach_observer(self, observer: "Observer") -> None:
         """Attach a :class:`repro.obs.Observer` to this engine.
 
-        The observer's hooks start firing from the next cycle on.  Flit-
-        level tracing (``trace_flits``) shadows ``_handle_flit_arrival``
-        with an instance attribute so the transmit loop itself needs no
-        per-flit branch when it is off.
+        The observer's hooks start firing from the next cycle on.
         """
         if self._obs is not None:
             raise ConfigurationError(
@@ -367,22 +349,12 @@ class Engine:
             self._parking = False
             if self._parked:
                 self._unpark_all()
-        if observer.trace_flit_moves:
-            inner = self._handle_flit_arrival
-
-            def traced_arrival(vc: VirtualChannel) -> None:
-                observer.on_flit_arrival(self, vc)
-                inner(vc)
-
-            self._handle_flit_arrival = traced_arrival  # type: ignore[method-assign]
 
     def detach_observer(self) -> Optional["Observer"]:
         """Detach and return the observer (None if none was attached)."""
         observer = self._obs
         self._obs = None
-        # Remove the flit-arrival shadow, if tracing installed one.
-        self.__dict__.pop("_handle_flit_arrival", None)
-        self._parking = self._active_scheduler and self.sanitizer is None
+        self._parking = self.sanitizer is None
         return observer
 
     # -- sampling --------------------------------------------------------
@@ -487,29 +459,25 @@ class Engine:
     # ------------------------------------------------------------------
 
     def _enqueue_route(self, message: Message) -> None:
-        """Hand *message* to the routing phase (scheduler-appropriate)."""
-        if self._active_scheduler:
-            seq = self._route_seq
-            self._route_seq = seq + 1
-            message.route_seq = seq
-            # Sequence numbers are strictly increasing, so the new entry
-            # is >= everything in the heap and heappush is O(1) here.
-            heappush(self._route_heap, (seq, message))
-        else:
-            self._route_queue.append(message)
+        """Hand *message* to the routing phase."""
+        seq = self._route_seq
+        self._route_seq = seq + 1
+        message.route_seq = seq
+        # Sequence numbers are strictly increasing, so the new entry is
+        # >= everything in the heap and heappush is O(1) here.
+        heappush(self._route_heap, (seq, message))
 
     # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
-    def _route_active(self) -> bool:
-        """Routing phase of the activity-tracked scheduler.
+    def _route(self) -> bool:
+        """Routing phase: serve pending requests in FIFO order.
 
-        Serves requests in ascending enqueue sequence — exactly the FIFO
-        order of the scan scheduler, because a deque processed with
-        ``for _ in range(len(queue))`` also handles each message once per
-        cycle in most-recent-enqueue order.  A message with no free
-        candidate parks on its candidates' waiter lists (when parking is
-        on) instead of being re-polled every cycle; _wake_waiters puts it
-        back with its original sequence number, so the service order
-        after a wake is identical to the scan scheduler's queue order.
+        Requests are served in ascending enqueue sequence, each once per
+        cycle; a blocked request keeps its sequence number, and with it
+        its place in the queue.  A message with no free candidate parks
+        on its candidates' waiter lists (when parking is on) instead of
+        being re-polled every cycle; _wake_waiters puts it back with its
+        original sequence number, so the service order after a wake is
+        the same as if it had been re-polled all along.
         """
         heap = self._route_heap
         batch = sorted(heap)  # unique seqs: messages never compared
@@ -626,42 +594,6 @@ class Engine:
             cache[entry] = resolved
         return resolved
 
-    # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
-    def _route(self) -> bool:
-        queue = self._route_queue
-        policy = self.config.selection_policy
-        rng = self._rng_routing
-        sanitizer = self.sanitizer
-        obs = self._obs
-        progressed = False
-        for _ in range(len(queue)):
-            message = queue.popleft()
-            candidates = message.cached_candidates
-            if candidates is None:
-                candidates = self._compute_candidates(message)
-                message.cached_candidates = candidates
-            chosen = self._select(candidates, policy, rng)
-            if chosen is None:
-                if sanitizer is not None:
-                    sanitizer.record_blocked(
-                        message,
-                        [
-                            (vc.link.index, vc.vc_class)
-                            for vc, _ in candidates
-                        ],
-                    )
-                if obs is not None:
-                    obs.on_message_blocked(self, message, candidates)
-                queue.append(message)  # retry next cycle, FIFO order kept
-                continue
-            if sanitizer is not None:
-                sanitizer.clear(message.msg_id)
-            self._allocate(message, chosen)
-            if obs is not None:
-                obs.on_vc_acquired(self, message, chosen[0])
-            progressed = True
-        return progressed
-
     def _compute_candidates(self, message: Message) -> List[_Candidate]:
         choices = self.algorithm.candidates(
             message.route_state, message.head_node, message.dst
@@ -739,67 +671,35 @@ class Engine:
 
     # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
     def _transmit(self) -> bool:
-        saf = self._saf
-        ideal = self._ideal
-        priority = self._highest_class_first
-        cycle = self.cycle
-        moved = 0
-        handle_arrival = self._handle_flit_arrival
-        pending = list(self._active_channels)
-        while pending:
-            retry: List[PhysicalChannel] = []
-            progress = False
-            for channel in pending:
-                vc = channel.transmit(cycle, saf, ideal, priority)
-                if vc is None:
-                    # Re-poll only channels blocked on a condition that
-                    # can still change this cycle (buffer space / SAF
-                    # assembly); every other failure is final, so the
-                    # fixpoint converges in far fewer passes.
-                    if ideal and channel.retry_hint:
-                        retry.append(channel)
-                    continue
-                progress = True
-                moved += 1
-                handle_arrival(vc)
-            if not ideal or not progress:
-                break
-            # Ideal flow control: slots freed this pass may unblock
-            # channels that failed earlier in the same cycle (simultaneous
-            # shift on the clock edge).  Iterate to the fixpoint; the
-            # settled-flits rule still caps every flit at one hop/cycle.
-            pending = retry
-        self.flits_moved_total += moved
-        return moved > 0
+        """Transmission phase: each active channel moves at most one flit.
 
-    # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
-    def _transmit_active(self) -> bool:
-        """Transmission phase of the activity-tracked scheduler.
-
-        Polls only channels *armed* for the current cycle instead of the
-        whole active set.  A channel is armed by every event that can
-        change one of its blocking conditions: gaining a reserved VC
-        (_allocate), an ejection freeing space in one of its target VCs
-        (_eject), and — below — a flit departure freeing space one hop
-        back or a flit arrival giving the next hop something to forward.
-        The arming-event enumeration is complete (settled-flit counts
-        only change at cycle boundaries, via exactly these events), so an
-        unarmed channel's poll would fail; skipping it is unobservable.
+        The model is a sequence of passes over the active set in
+        insertion order, each polling every channel that has not moved
+        yet; under ideal flow control, passes repeat until one moves
+        nothing, since a slot freed this cycle may unblock a channel that
+        already failed.  This phase computes that outcome while polling
+        only channels *armed* for the current cycle.  A channel is armed
+        by every event that can change one of its blocking conditions:
+        gaining a reserved VC (_allocate), an ejection freeing space in
+        one of its target VCs (_eject), and — below — a flit departure
+        freeing space one hop back or a flit arrival giving the next hop
+        something to forward.  The arming-event enumeration is complete
+        (settled-flit counts only change at cycle boundaries, via exactly
+        these events), so an unarmed channel's poll would fail; skipping
+        it is unobservable.
 
         Within the cycle, successes happen in ascending active-set order
-        — the full scan's order — because the armed subset is drained
-        through a min-heap keyed on ``active_seq``, and a move that could
-        unblock a channel mid-cycle (ideal flow control / SAF assembly)
-        splices that channel into the current pass when its turn is still
-        ahead, or into the next fixpoint pass when it already went.  That
-        reproduces the scan fixpoint's poll outcomes exactly, modulo
-        polls that fail with no side effect.
+        because the armed subset is drained through a min-heap keyed on
+        ``active_seq``, and a move that could unblock a channel mid-cycle
+        (ideal flow control / SAF assembly) splices that channel into the
+        current pass when its turn is still ahead, or into the next pass
+        when it already went.  That reproduces the model's poll outcomes
+        exactly, modulo polls that fail with no side effect.
 
         The per-channel poll is :meth:`PhysicalChannel.transmit` fused
-        inline (the scan scheduler still calls the method, and the
-        golden-trace identity tests pin the two code paths against each
-        other), so the arming predicates and the arrival bookkeeping can
-        reuse the values the poll just loaded instead of re-reading
+        inline (the golden traces and recorded fingerprints pin the
+        schedule), so the arming predicates and the arrival bookkeeping
+        can reuse the values the poll just loaded instead of re-reading
         half a dozen attribute chains per flit.  One flit per channel
         per cycle needs no explicit guard here: a successful poll clears
         the channel from every poll list for the rest of the cycle (the
@@ -812,14 +712,12 @@ class Engine:
         cycle = self.cycle
         next_cycle = cycle + 1
         moved = 0
-        # Flit tracing shadows _handle_flit_arrival with an instance
-        # attribute; use it instead of the fused arrival epilogue so the
-        # observer hook keeps firing per flit.
-        traced = self.__dict__.get("_handle_flit_arrival")
+        obs = self._obs
+        trace_flits = obs is not None and obs.trace_flit_moves
         controller = self.controller
         delivering = self._delivering
         # The active set is insertion-ordered by ascending active_seq, so
-        # the armed subset is already sorted in the scan's polling order.
+        # the armed subset is already sorted in polling order.
         pending: List[PhysicalChannel] = []
         append_pending = pending.append
         for channel in self._active_channels:
@@ -933,14 +831,12 @@ class Engine:
                         )
                     break
                 else:
-                    # No ready VC.  Unlike the scan fixpoint (which
-                    # re-polls every channel that failed on buffer space
-                    # or assembly), same-cycle retries here are purely
+                    # No ready VC.  Same-cycle retries are purely
                     # event-driven: a failed channel is re-queued below
                     # exactly when a move frees its space or completes
-                    # its packet, and the scan's extra re-polls are
-                    # no-ops without such an event — so the success
-                    # sequence is unchanged.
+                    # its packet; without such an event a re-poll would
+                    # fail again, so skipping it leaves the success
+                    # sequence unchanged.
                     continue
                 # -- move epilogue: event hooks + arrival bookkeeping --
                 progress = True
@@ -1004,10 +900,10 @@ class Engine:
                 if downstream is not None:
                     # The arrived flit settles next cycle for the channel
                     # forwarding out of *vc*; under SAF it may also have
-                    # completed packet assembly, a condition the scan
-                    # fixpoint lets take effect within the cycle (same
-                    # pass if the consumer's turn is still ahead, next
-                    # pass under ideal flow control otherwise).
+                    # completed packet assembly, which takes effect
+                    # within the cycle (same pass if the consumer's turn
+                    # is still ahead, next pass under ideal flow control
+                    # otherwise).
                     down_ch = downstream.channel
                     if down_ch.armed_cycle < next_cycle and (
                         down_ch.owned_count > 1
@@ -1032,11 +928,10 @@ class Engine:
                             down_ch.queue_cycle = cycle
                             retry.append(down_ch)
                 # After the arming reads (a release below would clear the
-                # upstream/downstream links read above):
-                # _handle_flit_arrival, fused, on the poll's locals.
-                if traced is not None:
-                    traced(vc)
-                    continue
+                # upstream/downstream links read above): arrival
+                # bookkeeping, on the poll's locals.
+                if trace_flits and obs is not None:
+                    obs.on_flit_arrival(self, vc)
                 if vc is owner.path[-1] and vc.link.dst != owner.dst:
                     # The worm's front advanced into an intermediate
                     # router: request the next channel once the router
@@ -1063,28 +958,6 @@ class Engine:
             pending = retry
         self.flits_moved_total += moved
         return moved > 0
-
-    # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
-    def _handle_flit_arrival(self, vc: VirtualChannel) -> None:
-        owner = vc.owner
-        if vc is owner.path[-1] and vc.link.dst != owner.dst:
-            # The worm's front advanced into an intermediate router:
-            # request the next channel once the router has seen the
-            # head flit (wormhole/VCT) or the whole packet (SAF).
-            trigger = owner.length if self._saf else 1
-            if vc.flits_in == trigger:
-                self._enqueue_route(owner)
-        elif vc.link.dst == owner.dst and vc.flits_in == 1:
-            self._delivering.append(vc)
-        upstream = vc.upstream
-        if upstream is None:
-            if owner.flits_to_inject == 0:
-                self.controller.injection_complete(
-                    owner.src, owner.msg_class
-                )
-        elif upstream.occupancy == 0 and upstream.flits_out >= owner.length:
-            # upstream.drained, inlined (this runs once per flit moved).
-            self._release(upstream, owner)
 
     # ------------------------------------------------------------------
     # phase 4: ejection
@@ -1152,13 +1025,10 @@ class Engine:
 
     def _report_deadlock(self) -> None:
         stuck = []
-        if self._active_scheduler:
-            waiting: List[Message] = [
-                entry[1] for entry in sorted(self._route_heap)
-            ]
-            waiting.extend(self._parked.values())
-        else:
-            waiting = list(self._route_queue)
+        waiting: List[Message] = [
+            entry[1] for entry in sorted(self._route_heap)
+        ]
+        waiting.extend(self._parked.values())
         for message in waiting[:8]:
             stuck.append(
                 f"msg#{message.msg_id} {message.src}->{message.dst} "
@@ -1209,10 +1079,6 @@ class Engine:
 
     def _iter_live_messages(self) -> Iterator[Message]:
         seen = set()
-        for message in self._route_queue:
-            if message.msg_id not in seen:
-                seen.add(message.msg_id)
-                yield message
         for _, message in self._route_heap:
             if message.msg_id not in seen:
                 seen.add(message.msg_id)
@@ -1232,10 +1098,9 @@ class Engine:
         """Hashable digest of the engine's complete dynamic state.
 
         Two engines driven through the same configuration must agree on
-        this no matter which scheduler ran them — it is the equivalence
-        oracle of the scan-vs-active fuzz tests.  Scheduler-internal
-        bookkeeping (armed stamps, retry hints, waiter lists, parking
-        epochs) is deliberately excluded; everything that can influence
+        this — the recorded-fingerprint tests pin its digest.  Activity-
+        tracking bookkeeping (armed stamps, waiter lists, parking epochs)
+        is deliberately excluded; everything that can influence
         future simulated behaviour is included, down to the rng stream
         states and the round-robin pointers of every channel.
         """
@@ -1261,15 +1126,10 @@ class Engine:
             )
             for channel in self._channels
         )
-        if self._active_scheduler:
-            pending = sorted(
-                [entry[1].msg_id for entry in self._route_heap]
-                + list(self._parked)
-            )
-        else:
-            pending = sorted(
-                message.msg_id for message in self._route_queue
-            )
+        pending = sorted(
+            [entry[1].msg_id for entry in self._route_heap]
+            + list(self._parked)
+        )
         messages_fp = tuple(
             sorted(
                 (

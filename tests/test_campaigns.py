@@ -189,6 +189,7 @@ class TestCampaignSpec:
             {"profile": "warp"},
             {"base": {"offered_load": 0.5}},
             {"name": "a/b"},
+            {"base": {"warp_factor": 9}},
         ],
     )
     def test_validation_rejects(self, kwargs):

@@ -1,7 +1,7 @@
 """Hot-path optimizations must not change simulated behaviour.
 
 The engine's performance work (idle-cycle fast-forward, precomputed
-multiplexer scan orders, retry-hint pruning of the ideal-flow-control
+multiplexer scan orders, armed-channel polling of the ideal-flow-control
 fixpoint, inlined flit moves, rng-stream hoisting, scratch lists in
 ``_select``) is only admissible if the flit schedule is *bit-identical*
 to the straightforward seed engine.  These tests pin that down:
@@ -42,16 +42,14 @@ SEED_GOLDEN_MODES = {
 
 
 class TestGoldenTraces:
-    @pytest.mark.parametrize("scheduler", ["scan", "active"])
     @pytest.mark.parametrize("algorithm", sorted(SEED_GOLDEN_TRACES))
-    def test_algorithm_trace_matches_seed_engine(self, algorithm, scheduler):
+    def test_algorithm_trace_matches_seed_engine(self, algorithm):
         config = SimulationConfig(
             radix=6,
             n_dims=2,
             algorithm=algorithm,
             offered_load=0.5,
             seed=7,
-            scheduler=scheduler,
         )
         engine = Engine(config)
         engine.run_cycles(3000)
@@ -63,12 +61,11 @@ class TestGoldenTraces:
         assert trace == SEED_GOLDEN_TRACES[algorithm]
         assert engine.conservation_check()
 
-    @pytest.mark.parametrize("scheduler", ["scan", "active"])
     @pytest.mark.parametrize(
         "switching,flow_control,mux_policy", sorted(SEED_GOLDEN_MODES)
     )
     def test_mode_trace_matches_seed_engine(
-        self, switching, flow_control, mux_policy, scheduler
+        self, switching, flow_control, mux_policy
     ):
         config = SimulationConfig(
             radix=4,
@@ -79,7 +76,6 @@ class TestGoldenTraces:
             switching=switching,
             flow_control=flow_control,
             mux_policy=mux_policy,
-            scheduler=scheduler,
         )
         engine = Engine(config)
         engine.run_cycles(2000)
@@ -100,16 +96,14 @@ class TestObservedGoldenTraces:
     it, so the schedule stays bit-identical to the seed engine.
     """
 
-    @pytest.mark.parametrize("scheduler", ["scan", "active"])
     @pytest.mark.parametrize("algorithm", sorted(SEED_GOLDEN_TRACES))
-    def test_observed_trace_matches_seed_engine(self, algorithm, scheduler):
+    def test_observed_trace_matches_seed_engine(self, algorithm):
         config = SimulationConfig(
             radix=6,
             n_dims=2,
             algorithm=algorithm,
             offered_load=0.5,
             seed=7,
-            scheduler=scheduler,
             obs=True,
             obs_options={
                 "stride": 16,

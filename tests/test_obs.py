@@ -27,6 +27,7 @@ from repro.obs import (
     TraceWriter,
     validate_trace_lines,
 )
+from repro.obs.trace import EVENT_FLIT_MOVED
 from repro.simulator.engine import Engine
 from repro.util.errors import ConfigurationError
 
@@ -232,13 +233,18 @@ class TestObserverAccounting:
             Engine(tiny_config()).attach_observer(observer)
 
     def test_detach_restores_class_method(self):
+        """Flit moves are reported while attached, and none after detach."""
         engine, observer = _observed_engine(
-            cycles=10, trace_flits=True
+            cycles=200, trace_flits=True
         )
-        assert "_handle_flit_arrival" in engine.__dict__
+        moved = observer.event_counts.get(EVENT_FLIT_MOVED, 0)
+        assert moved > 0
         assert engine.detach_observer() is observer
-        assert "_handle_flit_arrival" not in engine.__dict__
         assert engine.observer is None
+        flits_before = engine.flits_moved_total
+        engine.run_cycles(200)
+        assert engine.flits_moved_total > flits_before
+        assert observer.event_counts.get(EVENT_FLIT_MOVED, 0) == moved
 
 
 class TestExport:
