@@ -11,8 +11,8 @@ at several operating points:
   cross-machine comparisons.
 * **congested_conservative**: the congested point under the
   conservative (snapshot-based) node model — the object-engine baseline
-  that the batch backend is compared against, since batch execution
-  requires conservative flow control.
+  that the batch rows are compared against (relaxed batch requires
+  conservative flow control, so both identities share this point).
 * **batch_b1 / batch_b8 / batch_b32**: the same conservative congested
   point run on the vectorized batch backend
   (:class:`repro.simulator.batch.BatchEngine`) with 1, 8 and 32

@@ -91,7 +91,7 @@ def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
         help=(
             "node model for custom sweeps: 'ideal' (the paper's, "
             "default) or 'conservative' (snapshot-based; required by "
-            "--backend batch)"
+            "--identity relaxed)"
         ),
     )
     parser.add_argument(
@@ -99,10 +99,12 @@ def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
         choices=sorted(BACKENDS),
         default=None,
         help=(
-            "simulation backend for custom sweeps: 'object' (default) "
-            "runs one engine per seed, 'batch' runs each point's seeds "
-            "in one vectorized lockstep engine (bit-identical per seed; "
-            "requires a conservative-flow-control configuration)"
+            "simulation backend: 'object' runs one engine per seed, "
+            "'batch' runs each point's seeds in one lockstep engine "
+            "(bit-identical per seed; builds a C kernel on first use).  "
+            "Custom sweeps default to 'object', figures to 'batch'; "
+            "'--figure N --backend object' re-runs a figure on the "
+            "oracle engine, or without a C compiler"
         ),
     )
     parser.add_argument(
@@ -227,20 +229,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     obs_enabled, obs_options = _obs_settings(args)
 
     if args.figure is not None:
-        if args.backend == "batch":
-            # The paper figures pin the paper's node model (ideal flow
-            # control), which the batch backend cannot reproduce
-            # bit-identically; see the batch module docstring.
+        if obs_enabled and args.backend == "batch":
             print(
-                "--backend batch applies to custom sweeps only "
-                "(the paper figures use ideal flow control)",
+                "--obs runs a figure on the object backend (the batch "
+                "backend has no observer hooks); drop --backend batch",
                 file=sys.stderr,
             )
             return 2
-        if args.identity is not None:
+        if args.identity == "relaxed":
             print(
-                "--identity applies to custom sweeps only (the paper "
-                "figures run on the object backend, the strict oracle)",
+                "--identity relaxed applies to custom sweeps only (the "
+                "paper figures pin ideal flow control, which relaxed "
+                "identity does not support; figures run strict)",
                 file=sys.stderr,
             )
             return 2
@@ -256,17 +256,23 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
             return 2
         run, check = _FIGURES[args.figure]
-        series = run(
-            profile=args.profile,
-            offered_loads=loads,
-            algorithms=algorithms,
-            seed=args.seed,
-            verbose=not args.quiet,
-            jobs=args.jobs,
-            checkpoint=args.checkpoint,
-            obs=obs_enabled,
-            obs_options=obs_options,
-        )
+        try:
+            series = run(
+                profile=args.profile,
+                offered_loads=loads,
+                algorithms=algorithms,
+                seed=args.seed,
+                verbose=not args.quiet,
+                jobs=args.jobs,
+                checkpoint=args.checkpoint,
+                obs=obs_enabled,
+                obs_options=obs_options,
+                backend=args.backend,
+            )
+        except ConfigurationError as error:
+            # e.g. no C compiler for the batch transmit kernel.
+            print(f"--figure {args.figure}: {error}", file=sys.stderr)
+            return 2
         title = f"Paper figure {args.figure}"
         checks = check(series)
     else:
@@ -285,14 +291,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             try:
                 config = dataclasses.replace(config, backend=args.backend)
             except ConfigurationError as error:
-                # e.g. batch over ideal flow control: surface the
-                # prerequisite instead of a traceback.
+                # e.g. batch with --obs: surface the conflict instead
+                # of a traceback.
                 print(f"--backend {args.backend}: {error}", file=sys.stderr)
-                print(
-                    "hint: the batch backend needs "
-                    "--flow-control conservative",
-                    file=sys.stderr,
-                )
                 return 2
         if args.identity is not None:
             try:
@@ -300,11 +301,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                     config, identity=args.identity
                 )
             except ConfigurationError as error:
-                # e.g. relaxed without the batch backend.
+                # e.g. relaxed without the batch backend, or over ideal
+                # flow control.
                 print(f"--identity {args.identity}: {error}",
                       file=sys.stderr)
-                print("hint: --identity relaxed needs --backend batch",
-                      file=sys.stderr)
+                print("hint: --identity relaxed needs --backend batch "
+                      "and --flow-control conservative", file=sys.stderr)
                 return 2
         series = sweep_algorithms(
             config,

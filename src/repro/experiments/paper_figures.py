@@ -9,6 +9,11 @@ throughput panel) plus one experiment described in prose:
 * **Section 3.4** — virtual cut-through comparison of 2pn, nbc and e-cube
   under uniform traffic.
 
+Every figure point runs on the strict batch backend
+(:data:`FIGURE_BACKEND`), whose per-seed results are bit-identical to the
+object engine's; ``backend="object"`` re-runs the oracle (or runs without
+a C compiler), and observed runs (``obs=True``) always use it.
+
 Each ``figureN`` function returns per-algorithm sweep series; the
 ``check_*`` functions encode the qualitative claims the paper draws from
 each figure, so benchmarks can assert that the reproduction preserves the
@@ -40,19 +45,36 @@ Series = Dict[str, List[SimulationResult]]
 ShapeCheck = Tuple[str, bool]
 
 
+#: Backend of every figure point: the strict batch engine, bit-identical
+#: per seed to the object engine (the oracle) under the figures' ideal
+#: flow control.  Observed runs fall back to the object engine.
+FIGURE_BACKEND = "batch"
+
+
 def _base_config(profile: Optional[str], **overrides: object) -> SimulationConfig:
     profile_name = profile if profile is not None else current_profile()
-    config = SimulationConfig(**overrides)  # type: ignore[arg-type]
+    settings: Dict[str, Any] = {"backend": FIGURE_BACKEND}
+    settings.update(overrides)
+    config = SimulationConfig(**settings)
     return apply_profile(config, profile_name)
 
 
 def _obs_overrides(
-    obs: bool, obs_options: Optional[Dict[str, Any]]
+    obs: bool, obs_options: Optional[Dict[str, Any]],
+    backend: Optional[str] = None,
 ) -> Dict[str, Any]:
-    """Config overrides attaching observers to every point of a figure."""
+    """Config overrides for a figure's backend and observers.
+
+    Observers attach to the object engine only (the batch engine has no
+    per-message hooks), so ``obs`` selects ``backend="object"``.
+    """
     if not obs:
-        return {}
-    return {"obs": True, "obs_options": dict(obs_options or {})}
+        return {} if backend is None else {"backend": backend}
+    return {
+        "backend": "object",
+        "obs": True,
+        "obs_options": dict(obs_options or {}),
+    }
 
 
 def figure3(
@@ -65,13 +87,14 @@ def figure3(
     checkpoint: Optional[str] = None,
     obs: bool = False,
     obs_options: Optional[Dict[str, Any]] = None,
+    backend: Optional[str] = None,
 ) -> Series:
     """Uniform traffic of 16-flit worms (paper Figure 3)."""
     config = _base_config(
         profile,
         traffic="uniform",
         seed=seed,
-        **_obs_overrides(obs, obs_options),
+        **_obs_overrides(obs, obs_options, backend),
     )
     return sweep_algorithms(
         config,
@@ -94,6 +117,7 @@ def figure4(
     checkpoint: Optional[str] = None,
     obs: bool = False,
     obs_options: Optional[Dict[str, Any]] = None,
+    backend: Optional[str] = None,
 ) -> Series:
     """Hotspot traffic, 4% to the max-coordinate node (paper Figure 4)."""
     config = _base_config(
@@ -101,7 +125,7 @@ def figure4(
         traffic="hotspot",
         traffic_options={"fraction": hotspot_fraction},
         seed=seed,
-        **_obs_overrides(obs, obs_options),
+        **_obs_overrides(obs, obs_options, backend),
     )
     return sweep_algorithms(
         config,
@@ -124,6 +148,7 @@ def figure5(
     checkpoint: Optional[str] = None,
     obs: bool = False,
     obs_options: Optional[Dict[str, Any]] = None,
+    backend: Optional[str] = None,
 ) -> Series:
     """Local traffic within a radius-3 neighbourhood (paper Figure 5)."""
     config = _base_config(
@@ -131,7 +156,7 @@ def figure5(
         traffic="local",
         traffic_options={"radius": radius},
         seed=seed,
-        **_obs_overrides(obs, obs_options),
+        **_obs_overrides(obs, obs_options, backend),
     )
     return sweep_algorithms(
         config,
@@ -153,6 +178,7 @@ def vct_comparison(
     checkpoint: Optional[str] = None,
     obs: bool = False,
     obs_options: Optional[Dict[str, Any]] = None,
+    backend: Optional[str] = None,
 ) -> Series:
     """Virtual cut-through rerun of Section 3.4 (uniform traffic)."""
     config = _base_config(
@@ -160,7 +186,7 @@ def vct_comparison(
         traffic="uniform",
         switching="vct",
         seed=seed,
-        **_obs_overrides(obs, obs_options),
+        **_obs_overrides(obs, obs_options, backend),
     )
     return sweep_algorithms(
         config,
@@ -387,6 +413,7 @@ def figure_campaign_spec(
     overrides = dict(PROFILES[profile_name])
     radix = overrides.pop("radix", SimulationConfig.radix)
     base: Dict[str, Any] = dict(overrides)
+    base["backend"] = FIGURE_BACKEND
     if grid["switching"] != "wormhole":
         base["switching"] = grid["switching"]
     return CampaignSpec(
@@ -417,6 +444,7 @@ def format_checks(checks: Sequence[ShapeCheck]) -> str:
 
 
 __all__ = [
+    "FIGURE_BACKEND",
     "FIGURE_CHECKS",
     "FIGURE_GRIDS",
     "check_figure3",

@@ -5,41 +5,49 @@ differing only by seed — advance in lockstep, one shared cycle at a time.
 All per-virtual-channel state (ownership, buffer occupancy, worm flit
 counters, arrival/departure stamps, lifetime counters) and all per-physical-
 channel state (round-robin pointer, activity sequence) live in flat numpy
-arrays with a leading batch axis, so the transmission and ejection phases
-become a handful of array-at-once kernels instead of a Python scan per
-lane.  Routing stays scalar per active head (algorithm callbacks and rng
-tie-breaks are inherently per-message) behind a gather/scatter seam,
-reusing the object engine's candidate memoization.
+arrays with a leading batch axis.  Ejection is an array-at-once kernel;
+transmission is one C function over the same arrays
+(:mod:`repro.simulator.ckernel`); routing stays scalar per active head
+(algorithm callbacks and rng tie-breaks are inherently per-message)
+behind a gather/scatter seam, reusing the object engine's candidate
+memoization.
 
 **Bit-identity contract** (``identity="strict"``, the default).  For
 every supported configuration the batch backend reproduces the object
 engine's flit schedule and
 :meth:`~repro.simulator.engine.Engine.state_fingerprint` exactly, per seed
-(the object engine stays the oracle; the cross-backend tests pin this).
-The vectorization rests on one property of the engine's *conservative*
-flow control: within a cycle, every transmit decision is a pure function
-of the post-ejection, pre-transmission state.  The snapshot timestamps
-(``last_arrival_cycle``/``last_departure_cycle``) exist precisely to make
-the object engine's sequential channel scan order-invariant — which means
-a simultaneous whole-array evaluation commits the exact same set of moves.
+(the object engine stays the oracle; the cross-backend tests pin this),
+under both flow controls.  The transmit kernel does not rely on any
+order-invariance: it runs the object engine's transmit *model* itself.
+Per lane it polls the channels holding a reserved VC in ascending
+active-set order against live state, commits each move at once, and
+under ideal flow control repeats passes over the channels that have not
+moved until one pass moves nothing — the same-cycle buffer-reuse
+fixpoint, whose outcome depends on poll order and so cannot be computed
+by a simultaneous whole-array evaluation.  Conservative flow control
+tests space against the start-of-cycle snapshot
+(``last_arrival_cycle``/``last_departure_cycle``), so one pass gives the
+same moves in any order.  Move consequences (route requests, deliveries,
+injection completions, releases) come back lane-major in move order,
+which is the object engine's event order.
 
 **Unsupported configurations** raise
 :class:`~repro.util.errors.ConfigurationError`:
 
-* ``flow_control="ideal"`` — the ideal-flow-control fixpoint lets a flit
-  enter a slot freed *earlier in the same cycle*, so the committed move
-  set depends on the intra-cycle poll order (a later pass can hand a
-  freed slot to a lower-round-robin-rank VC).  That is a sequential
-  data dependence, not vectorizable bit-identically.
+* ``identity="relaxed"`` with ``flow_control="ideal"`` — relaxed results
+  are validated distributionally by :mod:`repro.analysis.equivalence`,
+  which does not cover ideal flow control yet.
 * ``switching="saf"`` — store-and-forward reads the *live* upstream
   ``flits_in`` during the pass (packet assembly can complete mid-cycle),
-  which is order-dependent even under conservative flow control.
+  which the kernel does not model.
 * ``obs=True`` / ``sanitize=True`` — per-cycle per-message hooks defeat
   the point of batching; attach them to an object-backend run instead.
 
 Wormhole and VCT, both mux policies, and all selection policies are
-supported (conservative wormhole uses the 2-flit buffers
-``effective_buffer_depth`` already assigns it).
+supported.  The kernel is compiled on first use with the host C
+compiler; without one, engine construction raises
+:class:`~repro.util.errors.ConfigurationError` (``backend="object"``
+needs no compiler).
 
 **Relaxed identity** (``identity="relaxed"``) trades per-seed
 bit-identity for speed past the scalar seam: per-lane ``random.Random``
@@ -62,8 +70,8 @@ distributions are validated against strict runs by
 
 **Performance structure.**  The strict per-cycle cost has three tiers:
 
-1. the transmit/eject kernels — whole-array work shared by all lanes,
-   indexed through 1-D views with absolute indices ``b*C*V + flat``;
+1. the transmit/eject kernels — shared by all lanes, indexed through
+   1-D views with absolute indices ``b*C*V + flat``;
 2. the scalar seam (routing, generation, move consequences) — reads go
    through plain-Python mirror lists (``owner``/``owned-count`` per
    lane), and array writes from VC allocation/release are *deferred*
@@ -71,9 +79,8 @@ distributions are validated against strict runs by
    before the transmit kernel (``_flush``), so the seam never pays
    per-element numpy indexing;
 3. sparse move consequences (head arrivals, releases, injection
-   completion) — extracted by the kernel, applied scalar per lane in
-   ascending moving-channel ``active_seq`` order, which is exactly the
-   object engine's poll order over its insertion-ordered active set.
+   completion) — recorded by the kernel in move order and applied
+   scalar per lane, exactly as the object engine applies them.
 
 The relaxed path replaces tiers 2–3 with masked array kernels over the
 slabs: generation writes admitted messages as column scatters, routing
@@ -82,9 +89,8 @@ VC's release stamp advances — see ``_rel_stamp``) over a tombstoning
 :class:`~repro.simulator.soa.RequestPool`, and move consequences
 (release bookkeeping, ejection, injection completion, per-winner
 commits) are masked scatters in the per-cycle epilogue.  What remains
-per cycle is numpy kernel dispatch roughly balanced across transmit,
-route, and generate — the residual floor recorded in
-docs/performance.md.
+per cycle is numpy kernel dispatch in route, generate, eject and flush
+— the residual floor recorded in docs/performance.md.
 """
 
 from __future__ import annotations
@@ -109,6 +115,7 @@ import numpy as np
 
 from repro.routing.base import RoutingAlgorithm
 from repro.routing.tables import RouteTable
+from repro.simulator.ckernel import TransmitKernel
 from repro.simulator.config import SimulationConfig
 from repro.simulator.injection import InjectionController
 from repro.simulator.soa import DeliverQueue, MessageSlab, RequestPool
@@ -349,18 +356,17 @@ class BatchEngine:
     array                     shape/dtype    meaning
     ========================  =============  ==================================
     ``owner``                 [B, C*V] i64   owning msg_id, -1 when free
-    ``occ/fin/fout``          [B, C*V] i32   buffer occupancy / flits in / out
+    ``txable``                [B, C*V] bool  owned and worm not fully in
+    ``occ/fin/fout``          [B, C*V] i16   buffer occupancy / flits in / out
     ``la/ld``                 [B, C*V] i32   last arrival/departure cycle (-1)
     ``carried``               [B, C*V] i64   lifetime flits carried
     ``up``                    [B, C*V] i32   upstream flat index, -1 at source
-    ``up_abs``                [B, C*V] intp  absolute upstream index (gather)
-    ``inject``                [B, C*V] i32   source-side flits_to_inject
-    ``issrc/front/isdst``     [B, C*V] bool  source-fed / worm front / at dst
-    ``ejected``               [B, C*V] i32   flits ejected at this dst VC
+    ``inject``                [B, C*V] i16   source-side flits_to_inject
+    ``front/isdst``           [B, C*V] bool  worm front / link ends at dst
+    ``ejected``               [B, C*V] i16   flits ejected at this dst VC
     ``rr_next``               [B, C]   i32   round-robin cursor
     ``ch_moved/last_tx``      [B, C]         lifetime moves / last move cycle
     ``active_seq``            [B, C]   i64   active-set insertion order
-    ``rr_key``                [B, C, V] i16  mux scan rank of each VC
     ========================  =============  ==================================
     """
 
@@ -375,12 +381,14 @@ class BatchEngine:
     ) -> None:
         if not seeds:
             raise ConfigurationError("batch backend needs at least one seed")
-        if config.flow_control != "conservative":
+        if config.identity == "relaxed" and config.flow_control != (
+            "conservative"
+        ):
             raise ConfigurationError(
-                "the batch backend requires flow_control='conservative': "
-                "ideal flow control resolves same-cycle buffer reuse with "
-                "an order-dependent fixpoint that cannot be vectorized "
-                "bit-identically (see repro.simulator.batch)"
+                "identity='relaxed' requires flow_control='conservative': "
+                "relaxed ideal flow control has no statistical-equivalence "
+                "validation yet (strict batch runs ideal flow control "
+                "bit-identically; see repro.simulator.batch)"
             )
         if config.switching == "saf":
             raise ConfigurationError(
@@ -489,30 +497,16 @@ class BatchEngine:
             return arr, arr.reshape(-1)
 
         # Flit counters are int16 (validated above: message_length fits)
-        # to halve the memory traffic of the per-cycle readiness scan.
+        # to halve the memory traffic of the per-cycle transmit kernel.
         self._owner, self._owner_f = flat2(np.int64, -1)
-        # occ and inject share one backing pool so the transmit kernel's
-        # supply check is a single gather: a VC's supply index is its
-        # upstream's occupancy cell, or (pool_offset + own cell) when
-        # source-fed — no masked overwrite per cycle.
-        n_flat = b * cv
-        self._supply_pool = np.zeros(2 * n_flat, dtype=np.int16)
-        self._occ_f = self._supply_pool[:n_flat]
-        self._occ = self._occ_f.reshape(b, cv)
+        self._occ, self._occ_f = flat2(np.int16)
         self._fin, self._fin_f = flat2(np.int16)
         self._fout, self._fout_f = flat2(np.int16)
         self._la, self._la_f = flat2(np.int32, -1)
         self._ld, self._ld_f = flat2(np.int32, -1)
         self._carried, self._carried_f = flat2(np.int64)
         self._up, self._up_f = flat2(np.int32, -1)
-        # Absolute supply index for the one big gather in the transmit
-        # kernel: the upstream VC's occupancy cell, or the VC's own
-        # inject cell (pool offset + abs) when source-fed; 0 (a valid
-        # dummy) when unowned.
-        self._up_abs, self._up_abs_f = flat2(np.intp)
-        self._issrc, self._issrc_f = flat2(bool)
-        self._inject_f = self._supply_pool[n_flat:]
-        self._inject = self._inject_f.reshape(b, cv)
+        self._inject, self._inject_f = flat2(np.int16)
         self._front, self._front_f = flat2(bool)
         self._isdst, self._isdst_f = flat2(bool)
         self._ejected, self._ejected_f = flat2(np.int16)
@@ -526,57 +520,40 @@ class BatchEngine:
         self._active_seq = np.full((b, c), -1, dtype=np.int64)
         self._active_seq_f = self._active_seq.reshape(-1)
 
-        # Mux keys are *packed*: (rank << 6) | vc_class, so one min
-        # reduction per channel yields the winning rank AND its VC (low
-        # six bits) without a separate argmin pass.  rank < V <= 63.
-        if v > 63:
-            raise ConfigurationError(
-                "the batch backend packs mux keys into 6-bit VC slots; "
-                f"{v} virtual channels per physical channel exceed 63"
-            )
-        self._sentinel = np.int16(v << 6)
-        #: Successor table for the round-robin cursor: nextv[v] = (v+1)%V.
-        self._nextv = np.arange(1, v + 1, dtype=np.int32)
-        self._nextv[v - 1] = 0
-        #: rrk_table[r] is the packed key row for cursor r.
-        vrange = np.arange(v, dtype=np.int16)
-        self._rrk_table = (
-            ((vrange[None, :] - vrange[:, None]) % v) << 6 | vrange[None, :]
-        ).astype(np.int16)
-        if self._priority:
-            # Static strict-priority key: highest class first.
-            self._rr_key = (
-                ((v - 1 - vrange) << 6 | vrange).astype(np.int16).reshape(1, 1, v)
-            )
-            self._rr_key2 = self._rr_key.reshape(1, v)
-        else:
-            # Cyclic round-robin rank (v - rr_next) mod V, maintained
-            # sparsely as rr_next moves; rr_next starts at 0 everywhere.
-            self._rr_key = np.tile(self._rrk_table[0], (b, c, 1))
-            self._rr_key2 = self._rr_key.reshape(b * c, v)
-
-        # Transmit-kernel scratch (one allocation per engine, not cycle).
-        n = b * cv
-        self._n_flat = n
-        self._sc_ready = np.zeros(n, dtype=bool)
-        self._sc_tmp = np.zeros(n, dtype=bool)
-        self._sc_upocc = np.zeros(n, dtype=np.int16)
-        self._sc_key = np.empty((b, c, v), dtype=np.int16)
-        self._sc_key_f = self._sc_key.reshape(-1)
-        self._sc_key2 = self._sc_key.reshape(b * c, v)
-        self._sc_min = np.empty((b, c), dtype=np.int16)
-        self._sc_min_f = self._sc_min.reshape(-1)
-        self._sc_move = np.empty(b * c, dtype=bool)
         # "Still transmitting" mask (owned AND worm not fully received),
         # maintained incrementally — set on allocation (_flush), cleared
-        # when the last flit lands (_transmit_kernel) or on release — so
-        # the per-cycle ready scan starts from one bool array instead of
-        # re-deriving owner >= 0 and fin < L from the wide arrays.
-        self._txable_f = np.zeros(n, dtype=bool)
-
+        # when the last flit lands (transmit kernel) or on release — so
+        # the kernel's per-VC readiness test starts from one byte.
+        self._txable_f = np.zeros(b * cv, dtype=bool)
         self._lane_on = np.ones(b, dtype=bool)
-        self._lane_mask_f = np.ones(n, dtype=bool)
-        self._all_on = True
+        #: The transmission phase: one C function over the arrays above
+        #: (see repro.simulator.ckernel and _transmit.c).
+        self._tx = TransmitKernel(
+            lanes=b,
+            channels=c,
+            vcs=v,
+            cap=self._cap,
+            length=self._length,
+            priority=self._priority,
+            ideal=config.flow_control == "ideal",
+            txable=self._txable_f,
+            occ=self._occ_f,
+            fin=self._fin_f,
+            fout=self._fout_f,
+            inject=self._inject_f,
+            la=self._la_f,
+            ld=self._ld_f,
+            carried=self._carried_f,
+            up=self._up_f,
+            front=self._front_f,
+            isdst=self._isdst_f,
+            owner=self._owner_f,
+            rr_next=self._rr_next_f,
+            last_tx=self._last_tx_f,
+            ch_moved=self._ch_moved_f,
+            active_seq=self._active_seq_f,
+            lane_on=self._lane_on,
+        )
 
         # Deferred allocation/release writes, flushed as one batched
         # scatter per cycle (see _flush).  The scalar seam reads only the
@@ -666,8 +643,6 @@ class BatchEngine:
             (b, lane) for b, lane in self._running if b != index
         ]
         self._lane_on[index] = False
-        self._lane_mask_f = np.repeat(self._lane_on, self._cv)
-        self._all_on = False
         if self._relaxed:
             # A frozen lane must stop generating: its due row would
             # otherwise keep matching the poll mask every cycle.
@@ -1574,8 +1549,8 @@ class BatchEngine:
     ) -> None:
         """Apply the move consequences as masked scatters over the slab.
 
-        Events arrive sorted by (lane, active-set seq) — the object
-        engine's poll order — so the per-lane route-request seq draws
+        Events arrive lane-major in move order — the object engine's
+        order — so the per-lane route-request seq draws
         below assign consecutive numbers in exactly the strict order;
         every other consequence (delivery registration, injection
         completion, release) is order-free bookkeeping.
@@ -1779,10 +1754,6 @@ class BatchEngine:
         self._ld_f[a] = -1
         self._ejected_f[a] = 0
         self._up_f[a] = up.astype(np.int32)
-        # Source-fed VCs gather supply from their own inject cell in the
-        # pool's upper half (see _supply_pool).
-        self._up_abs_f[a] = np.where(src, a + self._n_flat, up_abs)
-        self._issrc_f[a] = src
         self._front_f[a] = True
         # The upstream VC stops being the worm front (its head moved
         # on); disjoint from `a` — a message allocates at most one
@@ -1792,138 +1763,51 @@ class BatchEngine:
         self._inject_f[a[src]] = self._length
 
     # ------------------------------------------------------------------
-    # phase 4: transmission (the vectorized core)
+    # phase 4: transmission (the C kernel, see repro.simulator.ckernel)
     # ------------------------------------------------------------------
 
     # repro: hot — per-cycle path (HOT001: no allocation-heavy constructs)
     def _transmit_kernel(self, cycle: int) -> Optional[np.ndarray]:
-        """Array-at-once conservative transmit over every lane and channel.
+        """One transmission phase over every running lane (C kernel).
 
-        Readiness of a VC (owned, worm not fully through, target space,
-        a settled upstream flit or a source flit to inject) is evaluated
-        simultaneously against the post-ejection state; per channel, the
-        ready VC minimizing the cyclic round-robin rank (or the strict
-        class priority) moves one flit.  Both match the object engine's
-        sequential scan exactly because conservative flow control makes
-        the scan's outcome order-invariant (see the module docstring).
+        The kernel polls each lane's reserved channels in active-set
+        order against live state and commits every move at once, so
+        it computes ideal flow control's same-cycle fixpoint exactly as
+        the object engine does (passes repeat until one moves nothing);
+        under conservative flow control one pass suffices.  Its events
+        come back lane-major in move order — the object engine's order
+        — and are applied by the epilogue of the identity mode.
 
-        The caller applies the returned sparse events via
-        _transmit_epilogue; lane_moves is the per-lane flit count.
+        Returns the per-lane flit counts, or None when nothing moved.
         """
-        b = self._b
-        c = self._c
-        v = self._v
-        ready = self._sc_ready
-        tmp = self._sc_tmp
-        length = self._length
-        np.copyto(ready, self._txable_f)
-        np.less(self._occ_f, self._cap, out=tmp)
-        np.logical_and(ready, tmp, out=ready)
-        # Supply: the settled upstream occupancy, or the remaining source
-        # flits on source-fed VCs — one gather from the shared pool (a
-        # VC's supply index points at its upstream's occupancy cell or
-        # its own inject cell, set at allocation time).
-        np.take(self._supply_pool, self._up_abs_f, out=self._sc_upocc)
-        np.greater(self._sc_upocc, 0, out=tmp)
-        np.logical_and(ready, tmp, out=ready)
-        if not self._all_on:
-            np.logical_and(ready, self._lane_mask_f, out=ready)
-
-        # Per-channel winner: the ready VC with the smallest packed mux
-        # key.  Not-ready VCs get their key pushed up by one sentinel
-        # (keys are < sentinel, so winner keys and the mover test are
-        # unaffected); a min fold per channel delivers the rank and
-        # (low six bits) the winning VC.
-        key_f = self._sc_key_f
-        np.logical_not(ready, out=tmp)
-        np.multiply(tmp, self._sentinel, out=key_f, casting="unsafe")
-        key2 = self._sc_key2
-        np.add(key2, self._rr_key2, out=key2)
-        minv_f = self._sc_min_f
-        np.copyto(minv_f, key2[:, 0])
-        for i in range(1, v):
-            np.minimum(minv_f, key2[:, i], out=minv_f)
-        np.less(self._sc_min_f, self._sentinel, out=self._sc_move)
-        mv = np.nonzero(self._sc_move)[0]  # absolute channel: b*C + c
-        if mv.shape[0] == 0:
-            return None
-        vm = self._sc_min_f[mv] & 63
-        bm = mv // c
-        flat = (mv - bm * c) * v + vm
-        abs_m = bm * self._cv + flat
-
-        # -- commit: target VC side -----------------------------------
-        self._occ_f[abs_m] += 1
-        fin_new = self._fin_f[abs_m] + 1
-        self._fin_f[abs_m] = fin_new
-        self._txable_f[abs_m[fin_new == length]] = False
-        self._la_f[abs_m] = cycle
-        self._carried_f[abs_m] += 1
-        self._ch_moved_f[mv] += 1
-        self._last_tx_f[mv] = cycle
-        if not self._priority:
-            rrn = self._nextv[vm]
-            self._rr_next_f[mv] = rrn
-            self._rr_key2[mv] = self._rrk_table[rrn]
-
-        # -- commit: upstream / source side ---------------------------
-        srcm = self._issrc_f[abs_m]
-        upm = ~srcm
-        up_g = self._up_f[abs_m]
-        ua = self._up_abs_f[abs_m][upm]
-        self._occ_f[ua] -= 1
-        fout_new = self._fout_f[ua] + 1
-        self._fout_f[ua] = fout_new
-        self._ld_f[ua] = cycle
-        sa = abs_m[srcm]
-        inj_new = self._inject_f[sa] - 1
-        self._inject_f[sa] = inj_new
-        if self._relaxed and sa.shape[0]:
-            # Per-message injected-flit accounting lives in the slab
-            # (owner stores the slot in relaxed mode).
-            slab = self._slab
-            gi = (sa // self._cv) * slab.capacity + self._owner_f[sa]
-            slab.inj_f[gi] += 1
-
-        lane_moves = np.bincount(bm, minlength=b)
-
-        # -- sparse move consequences ---------------------------------
-        # Events pack into one int8 code per move (bit0 route request,
-        # bit1 delivery, bit2 injection-complete, bit3 upstream release)
-        # so the scalar epilogue walks a single list.
-        k = abs_m.shape[0]
-        head = fin_new == 1
-        isdst_g = self._isdst_f[abs_m]
-        code = np.zeros(k, dtype=np.int8)
-        code[head & self._front_f[abs_m] & ~isdst_g] = 1
-        code[head & isdst_g] = 2
-        code[srcm] |= (inj_new == 0) << 2
-        code[upm] |= ((self._occ_f[ua] == 0) & (fout_new >= length)) << 3
-        idx = np.nonzero(code)[0]
-        if idx.shape[0] == 0:
-            return lane_moves
-        # Object-engine order: events fire as their channels are polled,
-        # in ascending active-set insertion order within each lane.
-        seqs = self._active_seq_f[mv]
-        sel = idx[np.lexsort((seqs[idx], bm[idx]))]
+        tx = self._tx
         if self._relaxed:
-            self._epilogue_soa(
-                bm[sel],
-                flat[sel],
-                self._owner_f[abs_m[sel]],
-                up_g[sel].astype(np.int64),
-                code[sel],
-                cycle,
-            )
+            slab = self._slab
+            moved = tx.run(cycle, slab.inj_f, slab.capacity)
         else:
-            self._transmit_epilogue(
-                bm[sel],
-                flat[sel],
-                self._owner_f[abs_m[sel]],
-                up_g[sel],
-                code[sel],
-            )
-        return lane_moves
+            moved = tx.run(cycle)
+        if not moved:
+            return None
+        k = tx.n_events
+        if k:
+            if self._relaxed:
+                self._epilogue_soa(
+                    tx.ev_lane[:k],
+                    tx.ev_flat[:k],
+                    tx.ev_owner[:k],
+                    tx.ev_up[:k],
+                    tx.ev_code[:k],
+                    cycle,
+                )
+            else:
+                self._transmit_epilogue(
+                    tx.ev_lane[:k],
+                    tx.ev_flat[:k],
+                    tx.ev_owner[:k],
+                    tx.ev_up[:k],
+                    tx.ev_code[:k],
+                )
+        return tx.lane_moves
 
     def _transmit_epilogue(
         self,

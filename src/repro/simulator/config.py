@@ -41,8 +41,8 @@ MUX_POLICIES = ("round_robin", "highest_class")
 #: flat-array engine (:class:`repro.simulator.batch.BatchEngine`) that
 #: advances a whole batch of seeds of one configuration in lockstep.
 #: Per-seed results are bit-identical between the two (fingerprint and
-#: golden-trace tests); the batch backend requires conservative flow
-#: control and wormhole/VCT switching (see the batch module docstring).
+#: golden-trace tests); the batch backend supports wormhole/VCT
+#: switching under either flow control (see the batch module docstring).
 BACKENDS = ("object", "batch")
 
 #: Batch-backend identity modes: "strict" reproduces the object engine's
@@ -94,8 +94,8 @@ class SimulationConfig:
     mux_policy: str = "round_robin"
     #: Simulation backend: "object" runs one seed per engine; "batch"
     #: runs whole seed-batches in lockstep over flat numpy arrays
-    #: (bit-identical per seed; requires conservative flow control and
-    #: wormhole/VCT switching).
+    #: (bit-identical per seed; wormhole/VCT switching, no obs/sanitize
+    #: hooks; relaxed identity also needs conservative flow control).
     backend: str = "object"
     #: Batch-backend identity mode (see :data:`IDENTITY_MODES`).
     #: "strict" (default) keeps the bit-identical path; "relaxed" trades
@@ -174,10 +174,12 @@ class SimulationConfig:
                     "object engine is the strict oracle and has no "
                     "relaxed execution path")
         if self.backend == "batch":
-            require(self.flow_control == "conservative",
-                    "backend='batch' requires flow_control='conservative' "
-                    "(ideal flow control's same-cycle fixpoint is order-"
-                    "dependent and cannot be vectorized bit-identically)")
+            require(self.identity == "strict"
+                    or self.flow_control == "conservative",
+                    "identity='relaxed' requires "
+                    "flow_control='conservative' (relaxed ideal flow "
+                    "control is not yet validated by repro-equivalence; "
+                    "strict batch supports both flow controls)")
             require(self.switching != "saf",
                     "backend='batch' does not support switching='saf'")
             require(not self.obs and not self.sanitize,

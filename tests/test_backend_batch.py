@@ -7,7 +7,9 @@ lane's seed — same state fingerprint after any number of cycles, same
 samples, same :class:`SimulationResult`.  The object engine stays the
 oracle; everything here drives both and compares.
 
-Covered:
+Covered, under both flow controls (ideal flow control's same-cycle
+buffer-reuse fixpoint is the order-dependent case the C transmit kernel
+computes sequentially):
 
 * the full supported matrix — all six paper algorithms x mesh/torus x
   wormhole/VCT — compared by state fingerprint at an uneven cycle
@@ -17,20 +19,31 @@ Covered:
   the rest continue lockstep, and early-drained (stopped) lanes;
 * :func:`run_batch` == per-seed :func:`run_point` through the full
   convergence schedule;
-* unsupported configurations raising :class:`ConfigurationError`;
+* every paper figure's grid on both backends;
+* unsupported configurations raising :class:`ConfigurationError`, and
+  the kernel loader's error when no C compiler works;
 * the parallel scheduler's seed-batch grouping and the checkpoint's
   backend portability.
 """
 
 import dataclasses
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import repro
+from repro.experiments.paper_figures import (
+    FIGURE_GRIDS,
+    figure_campaign_spec,
+)
 from repro.experiments.parallel import run_points, run_sweep_points
 from repro.experiments.runner import run_batch, run_point
 from repro.routing.base import RoutingAlgorithm
 from repro.routing.registry import ALGORITHM_NAMES
+from repro.simulator import ckernel
 from repro.simulator.batch import BatchEngine
 from repro.simulator.config import SimulationConfig
 from repro.simulator.engine import Engine
@@ -38,9 +51,11 @@ from repro.topology.torus import Torus
 from repro.util.errors import ConfigurationError, DeadlockError
 from tests.conftest import tiny_config
 
+FLOW_CONTROLS = ("conservative", "ideal")
+
 
 def batch_config(**overrides) -> SimulationConfig:
-    """A 4x4 batch-capable (conservative) config for identity tests."""
+    """A 4x4 batch config for identity tests (conservative by default)."""
     defaults = {
         "flow_control": "conservative",
         "backend": "batch",
@@ -49,6 +64,26 @@ def batch_config(**overrides) -> SimulationConfig:
     }
     defaults.update(overrides)
     return tiny_config(**defaults)
+
+
+def over_flow_controls(names, cases):
+    """Parametrize *cases* over both flow controls.
+
+    Conservative cases keep their historical ids (``a-b-c``); ideal
+    ones are prefixed (``ideal-a-b-c``).
+    """
+    params = []
+    for flow_control in FLOW_CONTROLS:
+        for case in cases:
+            case_id = "-".join(str(value) for value in case)
+            if flow_control != "conservative":
+                case_id = f"{flow_control}-{case_id}"
+            params.append(pytest.param(flow_control, *case, id=case_id))
+    return pytest.mark.parametrize(("flow_control",) + names, params)
+
+
+def strip_wall(results):
+    return [dataclasses.replace(r, wall_seconds=0.0) for r in results]
 
 
 def drive_both(config, seeds, schedule):
@@ -79,12 +114,21 @@ def drive_both(config, seeds, schedule):
 class TestMatrixIdentity:
     """The acceptance matrix: 6 algorithms x mesh/torus x wormhole/vct."""
 
-    @pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
-    @pytest.mark.parametrize("topology", ["mesh", "torus"])
-    @pytest.mark.parametrize("switching", ["wormhole", "vct"])
-    def test_fingerprint_identity(self, algorithm, topology, switching):
+    @over_flow_controls(
+        ("switching", "topology", "algorithm"),
+        [
+            (switching, topology, algorithm)
+            for switching in ("vct", "wormhole")
+            for topology in ("mesh", "torus")
+            for algorithm in ALGORITHM_NAMES
+        ],
+    )
+    def test_fingerprint_identity(
+        self, flow_control, switching, topology, algorithm
+    ):
         config = batch_config(
-            algorithm=algorithm, topology=topology, switching=switching
+            algorithm=algorithm, topology=topology, switching=switching,
+            flow_control=flow_control,
         )
         # Uneven chunks: identity must hold mid-warmup, mid-worm, and
         # deep into the congested steady state, not just at round marks.
@@ -92,55 +136,72 @@ class TestMatrixIdentity:
             config, [23, 7], (1, 7, 113, 179)
         ):
             assert actual == expected, (
-                f"{algorithm}/{topology}/{switching} diverged for "
-                f"seed {seed}"
+                f"{algorithm}/{topology}/{switching}/{flow_control} "
+                f"diverged for seed {seed}"
             )
 
-    @pytest.mark.parametrize("mux_policy", ["round_robin", "highest_class"])
-    @pytest.mark.parametrize(
-        "selection_policy", ["first", "random", "least_multiplexed"]
+    @over_flow_controls(
+        ("selection_policy", "mux_policy"),
+        [
+            (selection, mux)
+            for selection in ("first", "least_multiplexed", "random")
+            for mux in ("highest_class", "round_robin")
+        ],
     )
-    def test_policy_identity(self, mux_policy, selection_policy):
+    def test_policy_identity(self, flow_control, selection_policy,
+                             mux_policy):
         config = batch_config(
             algorithm="nbc",
             offered_load=0.6,
             mux_policy=mux_policy,
             selection_policy=selection_policy,
+            flow_control=flow_control,
         )
         for seed, expected, actual in drive_both(
             config, [11], (3, 197)
         ):
             assert actual == expected, (
-                f"{mux_policy}/{selection_policy} diverged for seed {seed}"
+                f"{mux_policy}/{selection_policy}/{flow_control} diverged "
+                f"for seed {seed}"
+            )
+
+
+def fuzz_identity(flow_control, rng_seed, multi_lane):
+    """Randomized cross-backend sweep (fixed rng seed: reproducible).
+
+    With *multi_lane*, a third of the trials run B=3 lanes.
+    """
+    rng = random.Random(rng_seed)
+    for trial in range(50):
+        config = batch_config(
+            algorithm=rng.choice(ALGORITHM_NAMES),
+            topology=rng.choice(["mesh", "torus"]),
+            switching=rng.choice(["wormhole", "vct"]),
+            selection_policy=rng.choice(
+                ["least_multiplexed", "random", "first"]
+            ),
+            mux_policy=rng.choice(["round_robin", "highest_class"]),
+            offered_load=rng.choice([0.1, 0.3, 0.6, 0.9]),
+            message_length=rng.choice([2, 4, 7]),
+            injection_limit=rng.choice([None, 1, 2]),
+            flow_control=flow_control,
+        )
+        lanes = rng.choice([1, 1, 3]) if multi_lane else 1
+        seeds = [rng.randrange(1, 10_000) for _ in range(lanes)]
+        cycles = rng.randrange(60, 160)
+        for seed, expected, actual in drive_both(config, seeds, (cycles,)):
+            assert actual == expected, (
+                f"fuzz trial {trial} diverged: {config.label()} "
+                f"{flow_control} seed {seed}"
             )
 
 
 class TestFuzzIdentity:
     def test_fifty_sampled_configs(self):
-        """Randomized cross-backend sweep (fixed rng seed: reproducible)."""
-        rng = random.Random(20260808)
-        for trial in range(50):
-            config = batch_config(
-                algorithm=rng.choice(ALGORITHM_NAMES),
-                topology=rng.choice(["mesh", "torus"]),
-                switching=rng.choice(["wormhole", "vct"]),
-                selection_policy=rng.choice(
-                    ["least_multiplexed", "random", "first"]
-                ),
-                mux_policy=rng.choice(["round_robin", "highest_class"]),
-                offered_load=rng.choice([0.1, 0.3, 0.6, 0.9]),
-                message_length=rng.choice([2, 4, 7]),
-                injection_limit=rng.choice([None, 1, 2]),
-            )
-            seeds = [rng.randrange(1, 10_000)]
-            cycles = rng.randrange(60, 160)
-            for seed, expected, actual in drive_both(
-                config, seeds, (cycles,)
-            ):
-                assert actual == expected, (
-                    f"fuzz trial {trial} diverged: {config.label()} "
-                    f"seed {seed}"
-                )
+        fuzz_identity("conservative", 20260808, multi_lane=False)
+
+    def test_fifty_sampled_configs_ideal(self):
+        fuzz_identity("ideal", 20261018, multi_lane=True)
 
 
 class _NeverRoutes(RoutingAlgorithm):
@@ -211,9 +272,10 @@ class TestBatchEdgeCases:
                 fingerprint = engine.state_fingerprint(index)
                 assert fingerprint == single.state_fingerprint()
 
-    def test_stopped_lane_does_not_perturb_survivors(self):
-        """Early-drained lanes freeze; the rest keep their schedules."""
-        config = batch_config(algorithm="nlast", offered_load=0.6)
+    def _stopped_lane_case(self, flow_control):
+        config = batch_config(
+            algorithm="nlast", offered_load=0.6, flow_control=flow_control
+        )
         seeds = [5, 9, 13]
         engine = BatchEngine(config, seeds)
         engine.run_cycles(150)
@@ -235,6 +297,15 @@ class TestBatchEdgeCases:
                 single.state_fingerprint()
             )
 
+    def test_stopped_lane_does_not_perturb_survivors(self):
+        """Early-drained lanes freeze; the rest keep their schedules."""
+        self._stopped_lane_case("conservative")
+
+    def test_stopped_lane_does_not_perturb_survivors_ideal(self):
+        """The kernel skips a stopped lane's channels under ideal flow
+        control too (its fixpoint passes never touch the lane)."""
+        self._stopped_lane_case("ideal")
+
     def test_idle_fast_forward_with_stopped_lane(self):
         """All-idle fast-forward consults only the running lanes."""
         config = batch_config(offered_load=0.01)
@@ -249,9 +320,11 @@ class TestBatchEdgeCases:
 
 
 class TestRunBatch:
-    def test_matches_run_point_per_seed(self):
-        """The full convergence schedule, summarized per lane."""
-        config = batch_config(algorithm="nbc", offered_load=0.5)
+    @staticmethod
+    def _matches_run_point(flow_control):
+        config = batch_config(
+            algorithm="nbc", offered_load=0.5, flow_control=flow_control
+        )
         seeds = [4, 8, 15]
         batched = run_batch(config, seeds)
         for seed, result in zip(seeds, batched):
@@ -266,6 +339,14 @@ class TestRunBatch:
             actual.pop("wall_seconds")
             assert actual == expected
 
+    def test_matches_run_point_per_seed(self):
+        """The full convergence schedule, summarized per lane."""
+        self._matches_run_point("conservative")
+
+    def test_matches_run_point_per_seed_ideal(self):
+        """Same, under the paper's ideal flow control (the figures')."""
+        self._matches_run_point("ideal")
+
     def test_deadlock_raises_like_run_point(self):
         topology = Torus(4, 2)
         config = batch_config(offered_load=0.01, deadlock_threshold=50)
@@ -276,10 +357,36 @@ class TestRunBatch:
             )
 
 
+class TestFigureGrids:
+    @pytest.mark.parametrize("figure", sorted(FIGURE_GRIDS))
+    def test_figure_points_identical_on_both_backends(self, figure):
+        """Every paper figure's grid: batch (the figures' backend)
+        reproduces the object oracle point for point."""
+        spec = figure_campaign_spec(
+            figure, profile="tiny", offered_loads=(0.2, 0.6)
+        )
+        configs = spec.expand()
+        if figure == "5":
+            # Its radius-3 neighbourhood (width 7) needs radix >= 7;
+            # keep the tiny schedule on the smallest such torus.
+            configs = [dataclasses.replace(c, radix=8) for c in configs]
+        assert configs and all(c.backend == "batch" for c in configs)
+        assert all(c.flow_control == "ideal" for c in configs)
+        batch = run_points(configs)
+        oracle = run_points(
+            [dataclasses.replace(c, backend="object") for c in configs]
+        )
+        assert strip_wall(batch) == strip_wall(oracle)
+
+
 class TestUnsupportedConfigs:
-    def test_config_rejects_batch_with_ideal_flow_control(self):
+    def test_config_accepts_strict_batch_with_ideal_flow_control(self):
+        config = tiny_config(backend="batch")  # default flow_control
+        assert config.flow_control == "ideal"
+
+    def test_config_rejects_relaxed_with_ideal_flow_control(self):
         with pytest.raises(ConfigurationError, match="conservative"):
-            tiny_config(backend="batch")  # default flow_control="ideal"
+            tiny_config(backend="batch", identity="relaxed")
 
     def test_config_rejects_batch_with_saf(self):
         with pytest.raises(ConfigurationError, match="saf"):
@@ -297,10 +404,11 @@ class TestUnsupportedConfigs:
         with pytest.raises(ConfigurationError, match="seed"):
             BatchEngine(batch_config(), [])
 
-    def test_engine_rejects_ideal_flow_control(self):
+    def test_engine_rejects_relaxed_ideal_flow_control(self):
         # Constructed directly (bypassing config validation's coupled
-        # check) the engine still refuses ideal flow control.
-        config = tiny_config(flow_control="ideal")
+        # check) the engine still refuses relaxed ideal flow control.
+        config = batch_config(identity="relaxed")
+        config.flow_control = "ideal"
         with pytest.raises(ConfigurationError, match="conservative"):
             BatchEngine(config, [1])
 
@@ -353,3 +461,70 @@ class TestParallelSeedBatches:
         )
         resumed = run_points(batch_configs, checkpoint_path=path)
         assert resumed == first
+
+
+class TestKernelBuild:
+    def test_failing_compiler_raises_configuration_error(
+        self, tmp_path, monkeypatch
+    ):
+        """No working compiler: a ConfigurationError naming the command
+        and pointing at the object backend, and no stray files."""
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(
+            ckernel, "compiler", lambda: ["repro-no-such-cc", "-v"]
+        )
+        ckernel.load_library.cache_clear()
+        try:
+            with pytest.raises(ConfigurationError) as caught:
+                BatchEngine(batch_config(), [1])
+        finally:
+            ckernel.load_library.cache_clear()
+        message = str(caught.value)
+        assert "repro-no-such-cc -v" in message
+        assert "backend='object'" in message
+        assert list((tmp_path / "repro").iterdir()) == []
+
+    def test_cold_cache_builds_once_atomically(self, tmp_path, monkeypatch):
+        """A cold cache gets exactly one library under its keyed name
+        (built via a temporary file, then renamed); later loads reuse
+        it without compiling."""
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        ckernel.load_library.cache_clear()
+        try:
+            ckernel.load_library()
+            built = sorted(p.name for p in (tmp_path / "repro").iterdir())
+            assert len(built) == 1 and built[0].startswith("transmit-")
+            assert built[0].endswith(".so")
+            ckernel.load_library.cache_clear()
+
+            def no_build(*args):
+                raise AssertionError("a cached kernel was rebuilt")
+
+            monkeypatch.setattr(ckernel, "_build", no_build)
+            ckernel.load_library()
+        finally:
+            ckernel.load_library.cache_clear()
+
+    def test_concurrent_cold_builds_both_load(self, tmp_path):
+        """Two processes compiling into one cold cache at once (parallel
+        sweep workers) both load a complete library, and no temporary
+        file is left behind."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path))
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        code = (
+            "from repro.simulator.batch import BatchEngine\n"
+            "from tests.conftest import tiny_config\n"
+            "e = BatchEngine(tiny_config(flow_control='conservative'), [1])\n"
+            "e.run_cycles(50)\n"
+        )
+        root = os.path.dirname(src)
+        procs = [
+            subprocess.Popen([sys.executable, "-c", code], env=env, cwd=root)
+            for _ in range(2)
+        ]
+        assert [proc.wait(timeout=120) for proc in procs] == [0, 0]
+        names = [p.name for p in (tmp_path / "repro").iterdir()]
+        assert len(names) == 1 and names[0].startswith("transmit-")
